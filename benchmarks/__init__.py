@@ -1,1 +1,1 @@
-"""Benchmark suite: one module per experiment id from DESIGN.md."""
+"""Benchmark suite: one module per experiment id, named in its docstring."""

@@ -1,7 +1,7 @@
 """Shared fixtures and reporting helpers for the benchmark suite.
 
-Every benchmark corresponds to one experiment id from ``DESIGN.md`` /
-``EXPERIMENTS.md`` (F1–F5, C1–C5, A1, B1).  Benchmarks print the table or
+Every benchmark corresponds to one experiment id (F1–F5, C1–C5, A1, B1–B7),
+named in its module docstring.  Benchmarks print the table or
 series the experiment reproduces — run with
 ``pytest benchmarks/ --benchmark-only -s`` to see them — and additionally
 time a representative kernel through the ``benchmark`` fixture so

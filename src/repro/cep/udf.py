@@ -41,7 +41,11 @@ class FunctionRegistry:
         name:
             Function name as used in query text.
         function:
-            The Python callable.
+            The Python callable.  It must be pure — same arguments, same
+            result, no side effects: the matcher evaluates each step's
+            predicate at most once per tuple per partition and shares the
+            verdict among all runs waiting at that step, so a UDF is not
+            called once per run.
         arity:
             Expected number of arguments, or ``None`` for variadic.
         """

@@ -4,7 +4,7 @@ A workload is a reproducible train/test split generated with the Kinect
 simulator: for every gesture in the catalogue, ``training_samples``
 performances by a training user and ``test_performances`` by (possibly
 different) test users, plus idle segments as negative data.  Benchmarks use
-workloads so the numbers in ``EXPERIMENTS.md`` can be regenerated exactly.
+workloads so their numbers can be regenerated exactly.
 """
 
 from __future__ import annotations

@@ -23,8 +23,39 @@ from repro.kinect.skeleton import JOINTS, TRACKED_AXES, joint_field
 REFERENCE_FOREARM_MM = 243.0
 
 #: Minimum plausible forearm length; measurements below this are treated as
-#: tracking glitches and replaced by the last valid value (or the reference).
+#: tracking glitches.  The ``kinect_t`` view then keeps the player's last
+#: smoothed scale (or the reference, before the first valid measurement).
 _MIN_FOREARM_MM = 40.0
+
+
+def _forearm_fields(prefix: str) -> Tuple[str, ...]:
+    """``(hand_x, elbow_x, hand_y, elbow_y, hand_z, elbow_z)`` of one side."""
+    return tuple(
+        joint_field(joint, axis)
+        for axis in TRACKED_AXES
+        for joint in (f"{prefix}hand", f"{prefix}elbow")
+    )
+
+
+_RIGHT_FOREARM = _forearm_fields("r")
+_LEFT_FOREARM = _forearm_fields("l")
+
+
+def measure_forearm(frame: Mapping[str, float], side: str = "right") -> Optional[float]:
+    """The hand–elbow distance (mm) of one frame, or ``None`` when a joint is
+    missing or the distance is implausibly small (a tracking glitch)."""
+    fields = _RIGHT_FOREARM if side == "right" else _LEFT_FOREARM
+    hand_x, elbow_x, hand_y, elbow_y, hand_z, elbow_z = fields
+    try:
+        dx = frame[hand_x] - frame[elbow_x]
+        dy = frame[hand_y] - frame[elbow_y]
+        dz = frame[hand_z] - frame[elbow_z]
+    except KeyError:
+        return None
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if length < _MIN_FOREARM_MM:
+        return None
+    return length
 
 
 def forearm_scale(
@@ -48,17 +79,8 @@ def forearm_scale(
         Value returned when the required joints are missing or the measured
         distance is implausibly small (lost tracking).
     """
-    prefix = "r" if side == "right" else "l"
-    try:
-        dx = frame[f"{prefix}hand_x"] - frame[f"{prefix}elbow_x"]
-        dy = frame[f"{prefix}hand_y"] - frame[f"{prefix}elbow_y"]
-        dz = frame[f"{prefix}hand_z"] - frame[f"{prefix}elbow_z"]
-    except KeyError:
-        return fallback
-    length = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if length < _MIN_FOREARM_MM:
-        return fallback
-    return length
+    length = measure_forearm(frame, side)
+    return fallback if length is None else length
 
 
 def present_joints(frame: Mapping[str, float]) -> Tuple[str, ...]:

@@ -22,21 +22,26 @@ keeps multi-user streams frame-for-frame identical to isolated ones).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.transform.coordinate import (
-    REFERENCE_FOREARM_MM,
-    forearm_scale,
-    scale_coordinates,
-    shift_to_torso,
-)
-from repro.transform.rotation import estimate_yaw_deg, rotate_about_y
+from repro.kinect.skeleton import JOINTS, TRACKED_AXES, joint_field
+from repro.transform.coordinate import REFERENCE_FOREARM_MM, measure_forearm
+from repro.transform.rotation import shoulder_line_yaw_deg
 
 #: How many frames pass between sweeps that evict idle partitions' smoothing
 #: state.  Output-neutral: a partition idle past the TTL is reset on its next
 #: own frame anyway; the sweep only reclaims memory earlier.
 _EVICTION_SWEEP_FRAMES = 256
+
+#: ``(x, y, z)`` field names of every joint, in ``JOINTS`` order.
+_JOINT_KEYS: Tuple[Tuple[str, ...], ...] = tuple(
+    tuple(joint_field(joint, axis) for axis in TRACKED_AXES) for joint in JOINTS
+)
+_JOINT_FIELDS = frozenset(key for keys in _JOINT_KEYS for key in keys)
+_LSHOULDER = _JOINT_KEYS[JOINTS.index("lshoulder")]
+_RSHOULDER = _JOINT_KEYS[JOINTS.index("rshoulder")]
 
 
 @dataclass(frozen=True)
@@ -183,10 +188,14 @@ class KinectTransformer:
                 if self.frames_transformed % _EVICTION_SWEEP_FRAMES == 0:
                     self._evict_idle(timestamp, ttl)
             self._last_seen[key] = timestamp
-        measured = forearm_scale(frame, side=cfg.scale_side)
+        measured = measure_forearm(frame, side=cfg.scale_side)
         alpha = cfg.smooth_scale
         previous = self._scales.get(key)
-        if alpha <= 0 or previous is None:
+        if measured is None:
+            # Missing joints or a tracking glitch: keep the last smoothed
+            # value; the reference stands in only before any history.
+            smoothed = REFERENCE_FOREARM_MM if previous is None else previous
+        elif alpha <= 0 or previous is None:
             smoothed = measured
         else:
             smoothed = alpha * previous + (1 - alpha) * measured
@@ -201,15 +210,56 @@ class KinectTransformer:
             self._last_seen.pop(key, None)
 
     def transform(self, frame: Mapping[str, float]) -> Dict[str, float]:
-        """Transform one raw sensor frame into the ``kinect_t`` frame."""
+        """Transform one raw sensor frame into the ``kinect_t`` frame.
+
+        One pass over the joints that carry all three coordinates, doing
+        what ``shift_to_torso``, ``estimate_yaw_deg``/``rotate_about_y`` and
+        ``scale_coordinates`` do in turn, with the same floating-point
+        operations in the same order: the output is bit-identical to that
+        composition, key order included (non-joint fields first, then the
+        complete joints in ``JOINTS`` order; partial joints are dropped).
+
+        Raises
+        ------
+        KeyError
+            If the frame has no torso coordinates.
+        """
         scale = self._current_scale(frame)
-        shifted = shift_to_torso(frame)
+        tx = frame["torso_x"]
+        ty = frame["torso_y"]
+        tz = frame["torso_z"]
+        joints = [
+            keys
+            for keys in _JOINT_KEYS
+            if keys[0] in frame and keys[1] in frame and keys[2] in frame
+        ]
+        transformed = {
+            key: value for key, value in frame.items() if key not in _JOINT_FIELDS
+        }
+        if scale <= 0:
+            raise ValueError("scale factor must be positive")
+        factor = self.config.scale_reference_mm / scale
         if self.config.align_orientation:
-            yaw = estimate_yaw_deg(shifted)
-            shifted = rotate_about_y(shifted, -yaw)
-        transformed = scale_coordinates(
-            shifted, scale=scale, reference=self.config.scale_reference_mm
-        )
+            yaw = 0.0
+            if _LSHOULDER in joints and _RSHOULDER in joints:
+                # The heading of the torso-shifted shoulder line.
+                dx = (frame[_RSHOULDER[0]] - tx) - (frame[_LSHOULDER[0]] - tx)
+                dz = (frame[_RSHOULDER[2]] - tz) - (frame[_LSHOULDER[2]] - tz)
+                yaw = shoulder_line_yaw_deg(dx, dz)
+            angle = math.radians(-yaw)
+            cos_a, sin_a = math.cos(angle), math.sin(angle)
+            neg_sin_a = -sin_a
+            for x_key, y_key, z_key in joints:
+                x = frame[x_key] - tx
+                z = frame[z_key] - tz
+                transformed[x_key] = (cos_a * x + sin_a * z) * factor
+                transformed[y_key] = (frame[y_key] - ty) * factor
+                transformed[z_key] = (neg_sin_a * x + cos_a * z) * factor
+        else:
+            for x_key, y_key, z_key in joints:
+                transformed[x_key] = (frame[x_key] - tx) * factor
+                transformed[y_key] = (frame[y_key] - ty) * factor
+                transformed[z_key] = (frame[z_key] - tz) * factor
         transformed["scale"] = scale
         self.frames_transformed += 1
         return transformed

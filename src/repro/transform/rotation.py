@@ -35,6 +35,12 @@ def estimate_yaw_deg(frame: Mapping[str, float]) -> float:
         dz = frame["rshoulder_z"] - frame["lshoulder_z"]
     except KeyError:
         return 0.0
+    return shoulder_line_yaw_deg(dx, dz)
+
+
+def shoulder_line_yaw_deg(dx: float, dz: float) -> float:
+    """Heading (degrees) of a left-to-right shoulder line ``(dx, ·, dz)``;
+    0° for a degenerate line."""
     if abs(dx) < 1e-9 and abs(dz) < 1e-9:
         return 0.0
     # For yaw=0 the shoulder line is (+1, 0, 0); rotation about Y by angle a

@@ -320,3 +320,71 @@ class TestBatchProcessing:
         matcher = _matcher()
         assert matcher.process_batch([], "s") == []
         assert matcher.stats.tuples_processed == 0
+
+
+class TestStepVerdictSharing:
+    """A tuple judges each step's predicate at most once per partition; all
+    runs waiting at that step share the verdict."""
+
+    @staticmethod
+    def _probed_matcher(probe, consume=ConsumePolicy.ALL):
+        from repro.cep.expressions import FunctionCall
+        from repro.cep.udf import default_functions
+
+        functions = default_functions()
+        functions.register("probe", probe, arity=1)
+        start = EventPattern(stream="s", predicate=Comparison("<", FieldRef("x"), Literal(50)))
+        advance = EventPattern(
+            stream="s",
+            predicate=Comparison(">=", FunctionCall("probe", [FieldRef("x")]), Literal(100)),
+        )
+        pattern = compile_pattern(sequence([start, advance], consume=consume))
+        return NFAMatcher(pattern, output="g", functions=functions)
+
+    def test_runs_at_one_step_share_one_evaluation(self):
+        calls = []
+
+        def probe(value):
+            calls.append(value)
+            return value
+
+        matcher = self._probed_matcher(probe)
+        matcher.process_many(_tuples([10] * 20), "s")
+        assert matcher.active_runs == 20
+        # 19 tuples met waiting runs; each judged step 1 once, not per run.
+        assert len(calls) == 19
+        before = matcher.stats.predicate_evaluations
+        detections = matcher.process({"x": 150, "ts": 2.5}, "s")
+        assert len(calls) == 20
+        assert matcher.stats.predicate_evaluations - before == 2  # step 1 once, then the gate
+        assert len(detections) == 1
+        assert matcher.stats.runs_advanced == 20
+        assert matcher.stats.runs_completed == 20
+
+    def test_each_partition_judges_its_own_step(self):
+        calls = []
+
+        def probe(value):
+            calls.append(value)
+            return value
+
+        matcher = self._probed_matcher(probe)
+        for player in (1, 2):
+            matcher.process_many(
+                [dict(t, player=player) for t in _tuples([10] * 3)], "s"
+            )
+        calls.clear()
+        matcher.process({"x": 150, "ts": 1.0, "player": 1}, "s")
+        matcher.process({"x": 150, "ts": 1.0, "player": 2}, "s")
+        assert calls == [150, 150]
+
+    def test_an_error_is_raised_by_the_first_evaluation(self):
+        def probe(value):
+            if value == 666:
+                raise ValueError("bad reading")
+            return value
+
+        matcher = self._probed_matcher(probe)
+        matcher.process_many(_tuples([10] * 5), "s")
+        with pytest.raises(ValueError, match="bad reading"):
+            matcher.process({"x": 666, "ts": 1.0}, "s")

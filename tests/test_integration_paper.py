@@ -1,7 +1,7 @@
 """Integration tests that mirror the paper's figures and claims end to end.
 
-Each test class corresponds to one experiment id of DESIGN.md / EXPERIMENTS.md
-and exercises the full stack: simulator → transformation → learning → query
+Each test class corresponds to one experiment id of the benchmark suite (the
+docstring of each ``benchmarks/bench_*.py`` names its id) and exercises the full stack: simulator → transformation → learning → query
 generation → CEP detection → application actions.
 """
 

@@ -307,3 +307,46 @@ class TestPipeline:
     def test_transform_frame_is_stateless_convenience(self):
         frame = _rest_frame()
         assert transform_frame(frame)["torso_x"] == pytest.approx(0.0)
+
+
+class TestGlitchFrames:
+    """A tracking glitch (forearm shorter than plausible, or a hand or elbow
+    missing) keeps the player's last smoothed scale instead of smoothing
+    the reference forearm in."""
+
+    @staticmethod
+    def _forearm_frame(length_mm, ts, player=1):
+        frame = {f"torso_{a}": 0.0 for a in "xyz"}
+        frame.update({f"relbow_{a}": 0.0 for a in "xyz"})
+        frame.update(rhand_x=length_mm, rhand_y=0.0, rhand_z=0.0, ts=ts, player=player)
+        return frame
+
+    def test_glitch_keeps_the_previous_smoothed_scale(self):
+        transformer = KinectTransformer()
+        for i in range(5):
+            transformer.transform(self._forearm_frame(150.0, ts=i / 30.0))
+        assert transformer.smoothed_scale(1) == 150.0
+        glitch = transformer.transform(self._forearm_frame(0.0, ts=5 / 30.0))
+        assert glitch["scale"] == 150.0
+        assert transformer.smoothed_scale(1) == 150.0
+
+    def test_missing_hand_keeps_the_previous_smoothed_scale(self):
+        transformer = KinectTransformer(TransformConfig(smooth_scale=0.0))
+        transformer.transform(self._forearm_frame(150.0, ts=0.0))
+        frame = self._forearm_frame(150.0, ts=1 / 30.0)
+        del frame["rhand_y"]
+        assert transformer.transform(frame)["scale"] == 150.0
+
+    def test_glitch_without_history_uses_the_reference(self):
+        transformer = KinectTransformer()
+        assert transformer.transform(self._forearm_frame(0.0, ts=0.0))["scale"] == (
+            REFERENCE_FOREARM_MM
+        )
+
+    def test_glitch_leaves_other_players_untouched(self):
+        transformer = KinectTransformer()
+        transformer.transform(self._forearm_frame(150.0, ts=0.0, player=1))
+        transformer.transform(self._forearm_frame(200.0, ts=0.0, player=2))
+        transformer.transform(self._forearm_frame(0.0, ts=1 / 30.0, player=1))
+        assert transformer.smoothed_scale(1) == 150.0
+        assert transformer.smoothed_scale(2) == 200.0
