@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
 from repro.kinect.skeleton import JOINTS, TRACKED_AXES, joint_field
 from repro.transform.coordinate import REFERENCE_FOREARM_MM, measure_forearm
@@ -42,6 +43,24 @@ _JOINT_KEYS: Tuple[Tuple[str, ...], ...] = tuple(
 _JOINT_FIELDS = frozenset(key for keys in _JOINT_KEYS for key in keys)
 _LSHOULDER = _JOINT_KEYS[JOINTS.index("lshoulder")]
 _RSHOULDER = _JOINT_KEYS[JOINTS.index("rshoulder")]
+
+
+@lru_cache(maxsize=256)
+def _frame_layout(
+    keys: Tuple[Hashable, ...],
+) -> Tuple[Tuple[Hashable, ...], Tuple[Tuple[str, ...], ...], bool]:
+    """What a frame with these keys, in this order, transforms: its non-joint
+    fields in order, the joints carrying all three coordinates in ``JOINTS``
+    order, and whether both shoulders are among them.
+
+    Cached: a sensor stream repeats the same few key layouts on every frame.
+    """
+    present = set(keys)
+    extras = tuple(key for key in keys if key not in _JOINT_FIELDS)
+    joints = tuple(
+        axes for axes in _JOINT_KEYS if all(key in present for key in axes)
+    )
+    return extras, joints, _LSHOULDER in joints and _RSHOULDER in joints
 
 
 @dataclass(frozen=True)
@@ -228,20 +247,14 @@ class KinectTransformer:
         tx = frame["torso_x"]
         ty = frame["torso_y"]
         tz = frame["torso_z"]
-        joints = [
-            keys
-            for keys in _JOINT_KEYS
-            if keys[0] in frame and keys[1] in frame and keys[2] in frame
-        ]
-        transformed = {
-            key: value for key, value in frame.items() if key not in _JOINT_FIELDS
-        }
+        extras, joints, shoulders = _frame_layout(tuple(frame))
+        transformed = {key: frame[key] for key in extras}
         if scale <= 0:
             raise ValueError("scale factor must be positive")
         factor = self.config.scale_reference_mm / scale
         if self.config.align_orientation:
             yaw = 0.0
-            if _LSHOULDER in joints and _RSHOULDER in joints:
+            if shoulders:
                 # The heading of the torso-shifted shoulder line.
                 dx = (frame[_RSHOULDER[0]] - tx) - (frame[_LSHOULDER[0]] - tx)
                 dz = (frame[_RSHOULDER[2]] - tz) - (frame[_LSHOULDER[2]] - tz)
