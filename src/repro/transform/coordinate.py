@@ -28,17 +28,9 @@ REFERENCE_FOREARM_MM = 243.0
 _MIN_FOREARM_MM = 40.0
 
 
-def _forearm_fields(prefix: str) -> Tuple[str, ...]:
-    """``(hand_x, elbow_x, hand_y, elbow_y, hand_z, elbow_z)`` of one side."""
-    return tuple(
-        joint_field(joint, axis)
-        for axis in TRACKED_AXES
-        for joint in (f"{prefix}hand", f"{prefix}elbow")
-    )
-
-
-_RIGHT_FOREARM = _forearm_fields("r")
-_LEFT_FOREARM = _forearm_fields("l")
+#: ``(hand_x, elbow_x, hand_y, elbow_y, hand_z, elbow_z)`` of each side.
+_RIGHT_FOREARM = ("rhand_x", "relbow_x", "rhand_y", "relbow_y", "rhand_z", "relbow_z")
+_LEFT_FOREARM = ("lhand_x", "lelbow_x", "lhand_y", "lelbow_y", "lhand_z", "lelbow_z")
 
 
 def measure_forearm(frame: Mapping[str, float], side: str = "right") -> Optional[float]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence
 
@@ -226,8 +227,6 @@ def test_path_reproduces_golden_detections_and_counters(path, golden, frames, tm
 def _regenerate() -> None:
     vocabulary = learn_vocabulary()
     frames = record_players()
-    import tempfile
-
     detections: Dict[str, Any] = {}
     per_path: Dict[str, Any] = {}
     for path in PATHS:
