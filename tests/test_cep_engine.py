@@ -1,17 +1,9 @@
-"""Unit tests for the CEP engine, views, sinks and stream operators."""
+"""Unit tests for the CEP engine, views and sinks."""
 
 import pytest
 
 from repro.cep.engine import CEPEngine
-from repro.cep.expressions import Comparison, FieldRef, Literal
 from repro.cep.matcher import Detection, MatcherConfig
-from repro.cep.operators import (
-    FilterOperator,
-    MapOperator,
-    Pipeline,
-    ProjectOperator,
-    SlidingWindowAggregate,
-)
 from repro.cep.sinks import CallbackSink, CollectingSink, FanOutSink, NullSink
 from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME, install_kinect_view
 from repro.errors import (
@@ -19,7 +11,7 @@ from repro.errors import (
     QuerySyntaxError,
     UnknownStreamError,
 )
-from repro.streams import SimulatedClock, Stream
+from repro.streams import SimulatedClock
 
 SIMPLE_QUERY = 'SELECT "up" MATCHING s(x > 100);'
 SEQ_QUERY = 'SELECT "seq" MATCHING s(x > 100) -> s(x > 200) within 1 seconds;'
@@ -340,71 +332,3 @@ class TestViews:
         engine.get_stream("doubled").subscribe(received.append)
         engine.push("raw", {"x": 4})
         assert received == [{"x": 8}]
-
-
-class TestOperators:
-    def test_filter_operator(self):
-        source, target = Stream("in"), Stream("out")
-        received = []
-        target.subscribe(received.append)
-        op = FilterOperator(source, target, Comparison(">", FieldRef("x"), Literal(5)))
-        op.start()
-        source.push({"x": 3})
-        source.push({"x": 7})
-        assert received == [{"x": 7}]
-        assert op.passed == 1
-        op.stop()
-        source.push({"x": 9})
-        assert len(received) == 1
-
-    def test_project_operator(self):
-        source, target = Stream("in"), Stream("out")
-        received = []
-        target.subscribe(received.append)
-        ProjectOperator(source, target, ["a"]).start()
-        source.push({"a": 1, "b": 2})
-        assert received == [{"a": 1}]
-
-    def test_project_requires_fields(self):
-        with pytest.raises(ValueError):
-            ProjectOperator(Stream("in"), Stream("out"), [])
-
-    def test_map_operator(self):
-        source, target = Stream("in"), Stream("out")
-        received = []
-        target.subscribe(received.append)
-        MapOperator(source, target, lambda r: {"y": r["x"] + 1}).start()
-        source.push({"x": 1})
-        assert received == [{"y": 2}]
-
-    def test_sliding_window_aggregate_mean_and_range(self):
-        source, target = Stream("in"), Stream("out")
-        received = []
-        target.subscribe(received.append)
-        SlidingWindowAggregate(source, target, field="x", window_size=3, aggregate="mean").start()
-        for value in (1.0, 2.0, 3.0, 4.0):
-            source.push({"x": value})
-        assert len(received) == 2
-        assert received[0]["mean_x"] == pytest.approx(2.0)
-        assert received[1]["mean_x"] == pytest.approx(3.0)
-
-    def test_sliding_window_validation(self):
-        with pytest.raises(ValueError):
-            SlidingWindowAggregate(Stream("i"), Stream("o"), "x", 0)
-        with pytest.raises(ValueError):
-            SlidingWindowAggregate(Stream("i"), Stream("o"), "x", 3, aggregate="median")
-
-    def test_pipeline_context_manager(self):
-        source, middle, target = Stream("a"), Stream("b"), Stream("c")
-        received = []
-        target.subscribe(received.append)
-        pipeline = Pipeline([
-            MapOperator(source, middle, lambda r: {"x": r["x"] * 2}),
-            FilterOperator(middle, target, Comparison(">", FieldRef("x"), Literal(5))),
-        ])
-        with pipeline:
-            source.push({"x": 1})
-            source.push({"x": 4})
-        assert received == [{"x": 8}]
-        source.push({"x": 10})
-        assert len(received) == 1
