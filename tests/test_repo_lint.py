@@ -17,6 +17,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 
 from repo_lint import (  # noqa: E402 — path set up above
+    DYNAMIC_CODE_SANCTIONED,
     HASH_FORBIDDEN_PATHS,
     WALL_CLOCK_FORBIDDEN_PATHS,
     lint_file,
@@ -44,7 +45,8 @@ class TestRepositoryIsClean:
     def test_cli_list_catalogue(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "RL001" in out and "RL002" in out and "RL003" in out and "RL004" in out
+        for code in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+            assert code in out
 
     def test_script_runs_standalone(self):
         result = subprocess.run(
@@ -245,4 +247,43 @@ class TestRL004UnnamedThreads:
             "tools/helper.py",
             "import threading\nworker = threading.Thread(target=print)\n",
         )
+        assert lint_file(path, root=tmp_path) == []
+
+
+class TestRL005DynamicCode:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "exec('x = 1')\n",
+            "value = eval('1 + 1')\n",
+            "code = compile('1', '<q>', 'eval')\n",
+            "run = exec\n",
+            "import builtins\nvalue = builtins.eval('1')\n",
+        ],
+    )
+    def test_dynamic_code_flagged(self, tmp_path, source):
+        path = write_module(tmp_path, "src/repro/gateway/bad_codegen.py", source)
+        violations = lint_file(path, root=tmp_path)
+        assert [v.code for v in violations] == ["RL005"]
+        assert DYNAMIC_CODE_SANCTIONED in violations[0].message
+
+    def test_predicate_generator_is_sanctioned(self, tmp_path):
+        path = write_module(
+            tmp_path, DYNAMIC_CODE_SANCTIONED, "exec(compile('x = 1', '<q>', 'exec'), {})\n"
+        )
+        assert lint_file(path, root=tmp_path) == []
+
+    def test_methods_and_attributes_named_compile_allowed(self, tmp_path):
+        path = write_module(
+            tmp_path,
+            "src/repro/cep/ok_compile.py",
+            "import re\n"
+            "pattern = re.compile('x')\n"
+            "def build(expression):\n"
+            "    return expression.compile()\n",
+        )
+        assert lint_file(path, root=tmp_path) == []
+
+    def test_outside_src_repro_allowed(self, tmp_path):
+        path = write_module(tmp_path, "tools/helper.py", "exec('x = 1')\n")
         assert lint_file(path, root=tmp_path) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Four rules, all born from real failure modes of this codebase:
+Five rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -37,6 +37,14 @@ Four rules, all born from real failure modes of this codebase:
     debugged — an anonymous ``Thread-7`` is unattributable in all three.
     Every ``threading.Thread(...)`` constructed under ``src/repro`` must
     pass a ``name=`` keyword (``repro-<role>`` by convention).
+
+``RL005`` — builtin ``exec``, ``eval`` and ``compile`` only in ``cep/expressions.py``
+    Query text reaches the engine from remote gateway clients, so code
+    generation is confined to one reviewed module: the predicate generator
+    in ``src/repro/cep/expressions.py``, which splices nothing from a query
+    into its source except ``repr``'d field names.  Any other use of the
+    three builtins under ``src/repro`` (called, aliased or reached through
+    ``builtins.``) is flagged.
 
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
@@ -77,6 +85,14 @@ WALL_CLOCK_SANCTIONED = "src/repro/observability/clock.py"
 
 #: Directory tree where anonymous threads are forbidden (RL004).
 THREAD_NAME_REQUIRED_PATH = "src/repro"
+
+#: Directory tree where code-generating builtins are forbidden (RL005).
+DYNAMIC_CODE_FORBIDDEN_PATH = "src/repro"
+
+#: The one module allowed to generate code: the predicate generator.
+DYNAMIC_CODE_SANCTIONED = "src/repro/cep/expressions.py"
+
+_DYNAMIC_CODE_BUILTINS = frozenset({"exec", "eval", "compile"})
 
 
 class Violation(NamedTuple):
@@ -188,6 +204,31 @@ def _lint_unnamed_threads(path: Path, tree: ast.AST, relative: str) -> Iterable[
             )
 
 
+def _is_dynamic_code_builtin(node: ast.AST) -> bool:
+    """Match the names ``exec``/``eval``/``compile`` and ``builtins.<same>``."""
+    if isinstance(node, ast.Name):
+        return node.id in _DYNAMIC_CODE_BUILTINS
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in _DYNAMIC_CODE_BUILTINS
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "builtins"
+    )
+
+
+def _lint_dynamic_code(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):
+        if _is_dynamic_code_builtin(node):
+            yield Violation(
+                relative,
+                node.lineno,
+                "RL005",
+                "builtin exec/eval/compile outside "
+                f"{DYNAMIC_CODE_SANCTIONED}; query text comes from remote "
+                "clients, so code generation stays in the predicate generator",
+            )
+
+
 def _lint_silent_excepts(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
     for node in ast.walk(tree):
         if _is_broad_silent_except(node):
@@ -214,6 +255,8 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         violations.extend(_lint_silent_excepts(path, tree, relative))
     if posix.startswith(THREAD_NAME_REQUIRED_PATH):
         violations.extend(_lint_unnamed_threads(path, tree, relative))
+    if posix.startswith(DYNAMIC_CODE_FORBIDDEN_PATH) and posix != DYNAMIC_CODE_SANCTIONED:
+        violations.extend(_lint_dynamic_code(path, tree, relative))
     if (
         any(posix.startswith(prefix) for prefix in WALL_CLOCK_FORBIDDEN_PATHS)
         and posix != WALL_CLOCK_SANCTIONED
@@ -249,6 +292,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "RL004  every threading.Thread under",
             THREAD_NAME_REQUIRED_PATH,
             "must pass name=",
+        )
+        print(
+            "RL005  no builtin exec/eval/compile under",
+            DYNAMIC_CODE_FORBIDDEN_PATH,
+            f"(except {DYNAMIC_CODE_SANCTIONED})",
         )
         return 0
     violations = lint_repository()
