@@ -5,8 +5,8 @@ through the ``kinect_t`` view) in three engine configurations:
 
 * ``interpreted`` — per-tuple fan-out, predicates evaluated by walking the
   expression AST (the seed's only path),
-* ``compiled`` — per-tuple fan-out, predicates lowered to closures through
-  the engine's compiled-predicate cache,
+* ``compiled`` — per-tuple fan-out, predicates lowered to generated
+  functions through the engine's compiled-predicate cache,
 * ``compiled+batched`` — compiled predicates plus chunked delivery, so each
   matcher prunes its run table once per chunk.
 

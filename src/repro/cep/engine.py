@@ -13,8 +13,8 @@ paper's dialect (what an end user might paste for manual fine tuning).
 
 Data path
 ---------
-Predicates of deployed queries are compiled to closures through an
-engine-wide :class:`~repro.cep.expressions.CompiledPredicateCache`, so
+Predicates of deployed queries are compiled to generated functions through
+an engine-wide :class:`~repro.cep.expressions.CompiledPredicateCache`, so
 identical predicates generated by the learner are lowered once and shared
 across queries.  Tuples reach matchers on one of two paths:
 

@@ -19,17 +19,19 @@ Function calls are resolved through a
 ``abs``, ``dist`` (Euclidean distance) and the Roll-Pitch-Yaw operators the
 paper implements as UDFs in AnduIN.
 
-Besides the interpreted ``evaluate()`` walk, every node can be *compiled*
-(``compile()``) into a plain Python closure that takes only the record.
-Compilation resolves operators, field names and UDF callables once instead
-of per tuple, which is what lets the NFA matcher keep up with a full
-gesture vocabulary at sensor rate.  A :class:`CompiledPredicateCache`
-(owned by the engine) shares compiled closures between structurally
+Besides the interpreted ``evaluate()`` walk, every expression can be
+*compiled* (``compile()``) into one generated Python function of the
+record: the AST is written out once as a single Python expression, with
+operators, field names and UDF callables fixed at compile time instead of
+dispatched per tuple, which is what lets the NFA matcher keep up with a
+full gesture vocabulary at sensor rate.  A :class:`CompiledPredicateCache`
+(owned by the engine) shares generated functions between structurally
 identical predicates, keyed by their canonical ``to_query()`` text.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import (
     Any,
@@ -42,13 +44,14 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    cast,
 )
 
 from repro.errors import ExpressionError, UnknownFunctionError
 
 EvaluationContext = Mapping[str, Any]
 
-#: A compiled expression: a closure over the record only.
+#: A compiled expression: a generated function of the record only.
 CompiledExpression = Callable[[EvaluationContext], Any]
 
 
@@ -68,24 +71,73 @@ class Expression(ABC):
         """Return the set of field names referenced by the expression."""
 
     def compile(self, functions: Optional["FunctionRegistry"] = None) -> CompiledExpression:
-        """Lower the expression to a plain Python closure over the record.
+        """Lower the expression to one generated Python function of the record.
 
-        The closure returns exactly what :meth:`evaluate` would return for
-        the same record, but operator dispatch, field names and UDF
-        callables are resolved once at compile time instead of per call.
-        Two semantic differences, both surfacing errors *earlier*: unknown
-        functions and arity mismatches raise at compile time rather than at
-        evaluation time.
+        The AST is walked once and written out as a single Python
+        expression inside one ``def``, which is ``exec``'d.  The function
+        returns exactly what :meth:`evaluate` returns, in the same
+        short-circuit order; unknown functions and arity mismatches raise
+        here, at compile time, rather than per call.
 
-        Subclasses override this; the base implementation falls back to
-        interpreting the node, so third-party :class:`Expression`
-        subclasses keep working inside compiled parents.
+        Query text is never spliced into the generated source except as a
+        field name written with ``repr`` of a ``str``; operators are the
+        constructor-validated keys of this module's operator tables.
+        Literals, resolved UDF callables and the :meth:`evaluate` of any
+        :class:`Expression` subclass this module does not define are bound
+        as globals of the function.  A ``KeyError`` inside the call re-runs
+        :meth:`evaluate`, which raises what the interpreted walk raises:
+        :class:`ExpressionError` naming the first missing field in
+        evaluation order, or the ``KeyError`` of a (pure) UDF unchanged.
+        The code object's filename carries the ``to_query()`` text, so
+        tracebacks and profiler stacks name the predicate.  An expression
+        nested too deeply for Python's own compiler is interpreted.
         """
+        namespace: Dict[str, Any] = {"_evaluate": self.evaluate, "_functions": functions}
 
-        def interpret(record: EvaluationContext) -> Any:
-            return self.evaluate(record, functions)
+        def bind(value: Any) -> str:
+            name = f"_g{len(namespace)}"
+            namespace[name] = value
+            return name
 
-        return interpret
+        def write(node: Expression) -> str:
+            if type(node) is Literal:
+                return bind(node.value)
+            if type(node) is FieldRef:
+                return f"_r[{str.__repr__(node.name)}]"
+            if type(node) is UnaryMinus:
+                return f"(-{write(node.operand)})"
+            if type(node) is BinaryOp:
+                if node.operator == "/":
+                    return f"{bind(_divide)}({write(node.left)}, {write(node.right)})"
+                return f"({write(node.left)} {node.operator} {write(node.right)})"
+            if type(node) is Comparison:
+                comparison = f"{write(node.left)} {node.operator} {write(node.right)}"
+                return f"(True if {comparison} else False)"
+            if type(node) is BooleanOp:
+                operands = f" {node.operator} ".join(write(operand) for operand in node.operands)
+                return f"(True if {operands} else False)"
+            if type(node) is NotOp:
+                return f"(not {write(node.operand)})"
+            if type(node) is FunctionCall:
+                function = node.resolve(functions)
+                arguments = ", ".join(write(argument) for argument in node.arguments)
+                return f"{bind(function)}({arguments})"
+            return f"{bind(node.evaluate)}(_r, _functions)"
+
+        source = (
+            "def predicate(_r):\n"
+            "    try:\n"
+            f"        return {write(self)}\n"
+            "    except KeyError:\n"
+            "        pass\n"
+            "    return _evaluate(_r, _functions)\n"
+        )
+        try:
+            code = compile(source, f"<predicate {self.to_query()!r}>", "exec")
+        except (SyntaxError, RecursionError):
+            return lambda record: self.evaluate(record, functions)
+        exec(code, namespace)
+        return cast(CompiledExpression, namespace["predicate"])
 
     def predicate_count(self) -> int:
         """Number of atomic comparisons in the expression (detection effort)."""
@@ -121,14 +173,14 @@ class Literal(Expression):
     """A numeric, string or boolean constant."""
 
     def __init__(self, value: Any) -> None:
+        if isinstance(value, float) and not math.isfinite(value):
+            # NaN and infinities have no query text, and query text is what
+            # shards, the durability log and the predicate cache key on.
+            raise ExpressionError(f"literal must be a finite number, got {value!r}")
         self.value = value
 
     def evaluate(self, record: EvaluationContext, functions: Optional["FunctionRegistry"] = None) -> Any:
         return self.value
-
-    def compile(self, functions: Optional["FunctionRegistry"] = None) -> CompiledExpression:
-        value = self.value
-        return lambda record: value
 
     def to_query(self) -> str:
         if isinstance(self.value, bool):
@@ -151,7 +203,7 @@ class FieldRef(Expression):
     """A reference to a tuple field, e.g. ``rhand_x``."""
 
     def __init__(self, name: str) -> None:
-        if not name:
+        if not isinstance(name, str) or not name:
             raise ExpressionError("field reference must have a name")
         self.name = name
 
@@ -163,20 +215,6 @@ class FieldRef(Expression):
                 f"tuple has no field '{self.name}' "
                 f"(available: {sorted(record)[:8]}…)"
             ) from None
-
-    def compile(self, functions: Optional["FunctionRegistry"] = None) -> CompiledExpression:
-        name = self.name
-
-        def load(record: EvaluationContext) -> Any:
-            try:
-                return record[name]
-            except KeyError:
-                raise ExpressionError(
-                    f"tuple has no field '{name}' "
-                    f"(available: {sorted(record)[:8]}…)"
-                ) from None
-
-        return load
 
     def to_query(self) -> str:
         return self.name
@@ -194,10 +232,6 @@ class UnaryMinus(Expression):
     def evaluate(self, record: EvaluationContext, functions: Optional["FunctionRegistry"] = None) -> Any:
         return -self.operand.evaluate(record, functions)
 
-    def compile(self, functions: Optional["FunctionRegistry"] = None) -> CompiledExpression:
-        operand = self.operand.compile(functions)
-        return lambda record: -operand(record)
-
     def to_query(self) -> str:
         return f"-{self.operand.to_query()}"
 
@@ -208,11 +242,17 @@ class UnaryMinus(Expression):
         return (self.operand,)
 
 
-_ARITHMETIC_OPS = {
+def _divide(numerator: Any, denominator: Any) -> Any:
+    if denominator == 0:
+        raise ExpressionError("division by zero while evaluating expression")
+    return numerator / denominator
+
+
+_ARITHMETIC_OPS: Dict[str, Callable[[Any, Any], Any]] = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
+    "/": _divide,
 }
 
 
@@ -229,25 +269,7 @@ class BinaryOp(Expression):
     def evaluate(self, record: EvaluationContext, functions: Optional["FunctionRegistry"] = None) -> Any:
         left = self.left.evaluate(record, functions)
         right = self.right.evaluate(record, functions)
-        if self.operator == "/" and right == 0:
-            raise ExpressionError("division by zero while evaluating expression")
         return _ARITHMETIC_OPS[self.operator](left, right)
-
-    def compile(self, functions: Optional["FunctionRegistry"] = None) -> CompiledExpression:
-        left = self.left.compile(functions)
-        right = self.right.compile(functions)
-        if self.operator == "/":
-
-            def divide(record: EvaluationContext) -> Any:
-                numerator = left(record)
-                denominator = right(record)
-                if denominator == 0:
-                    raise ExpressionError("division by zero while evaluating expression")
-                return numerator / denominator
-
-            return divide
-        operation = _ARITHMETIC_OPS[self.operator]
-        return lambda record: operation(left(record), right(record))
 
     def to_query(self) -> str:
         return f"{self._render(self.left)} {self.operator} {self._render(self.right)}"
@@ -267,7 +289,7 @@ class BinaryOp(Expression):
         return (self.left, self.right)
 
 
-_COMPARISON_OPS = {
+_COMPARISON_OPS: Dict[str, Callable[[Any, Any], Any]] = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
     ">": lambda a, b: a > b,
@@ -295,79 +317,6 @@ class Comparison(Expression):
         left = self.left.evaluate(record, functions)
         right = self.right.evaluate(record, functions)
         return bool(_COMPARISON_OPS[self.operator](left, right))
-
-    def compile(self, functions: Optional["FunctionRegistry"] = None) -> CompiledExpression:
-        specialized = self._compile_specialized(functions)
-        if specialized is not None:
-            return specialized
-        left = self.left.compile(functions)
-        right = self.right.compile(functions)
-        operation = _COMPARISON_OPS[self.operator]
-        return lambda record: bool(operation(left(record), right(record)))
-
-    def _compile_specialized(self, functions: Optional["FunctionRegistry"]) -> Optional[CompiledExpression]:
-        """Collapse the two predicate shapes that dominate generated queries.
-
-        ``abs(field ± c) <op> w`` (the learner's pose-window template from
-        Sec. 3.3.4) and ``field <op> literal`` each become a single flat
-        closure instead of a chain of nested calls.  The ``abs`` shape is
-        only taken when the registry resolves ``abs`` to the Python builtin,
-        so a user-supplied override keeps the generic path.
-        """
-        if not isinstance(self.right, Literal):
-            return None
-        operation = _COMPARISON_OPS[self.operator]
-        bound = self.right.value
-
-        if isinstance(self.left, FieldRef):
-            name = self.left.name
-
-            def compare_field(record: EvaluationContext) -> bool:
-                try:
-                    return bool(operation(record[name], bound))
-                except KeyError:
-                    raise ExpressionError(
-                        f"tuple has no field '{name}' "
-                        f"(available: {sorted(record)[:8]}…)"
-                    ) from None
-
-            return compare_field
-
-        if (
-            isinstance(self.left, FunctionCall)
-            and self.left.name == "abs"
-            and len(self.left.arguments) == 1
-        ):
-            from repro.cep.udf import default_functions
-
-            registry = functions
-            if registry is None or not registry.has("abs"):
-                registry = default_functions()
-            if registry.resolve("abs", arity=1) is not abs:
-                return None
-            inner = self.left.arguments[0]
-            if not (
-                isinstance(inner, BinaryOp)
-                and inner.operator in ("+", "-")
-                and isinstance(inner.left, FieldRef)
-                and isinstance(inner.right, Literal)
-            ):
-                return None
-            name = inner.left.name
-            center = inner.right.value if inner.operator == "-" else -inner.right.value
-
-            def compare_window(record: EvaluationContext) -> bool:
-                try:
-                    return bool(operation(abs(record[name] - center), bound))
-                except KeyError:
-                    raise ExpressionError(
-                        f"tuple has no field '{name}' "
-                        f"(available: {sorted(record)[:8]}…)"
-                    ) from None
-
-            return compare_window
-
-        return None
 
     def to_query(self) -> str:
         return f"{self.left.to_query()} {self.operator} {self.right.to_query()}"
@@ -397,28 +346,6 @@ class BooleanOp(Expression):
         if self.operator == "and":
             return all(op.evaluate(record, functions) for op in self.operands)
         return any(op.evaluate(record, functions) for op in self.operands)
-
-    def compile(self, functions: Optional["FunctionRegistry"] = None) -> CompiledExpression:
-        compiled = tuple(op.compile(functions) for op in self.operands)
-        if self.operator == "and":
-
-            def conjunction(record: EvaluationContext) -> bool:
-                # Explicit loop, not all(...): this closure runs per tuple per
-                # query and a generator frame per call is measurable.
-                for predicate in compiled:  # noqa: SIM110
-                    if not predicate(record):
-                        return False
-                return True
-
-            return conjunction
-
-        def disjunction(record: EvaluationContext) -> bool:
-            for predicate in compiled:  # noqa: SIM110 — hot path, see conjunction
-                if predicate(record):
-                    return True
-            return False
-
-        return disjunction
 
     def to_query(self) -> str:
         parts = []
@@ -458,10 +385,6 @@ class NotOp(Expression):
     def evaluate(self, record: EvaluationContext, functions: Optional["FunctionRegistry"] = None) -> bool:
         return not self.operand.evaluate(record, functions)
 
-    def compile(self, functions: Optional["FunctionRegistry"] = None) -> CompiledExpression:
-        operand = self.operand.compile(functions)
-        return lambda record: not operand(record)
-
     def to_query(self) -> str:
         return f"not ({self.operand.to_query()})"
 
@@ -483,35 +406,21 @@ class FunctionCall(Expression):
 
     def evaluate(self, record: EvaluationContext, functions: Optional["FunctionRegistry"] = None) -> Any:
         values = [arg.evaluate(record, functions) for arg in self.arguments]
-        if functions is not None and functions.has(self.name):
-            return functions.call(self.name, values)
-        # Fall back to the built-in minimum set so expressions remain usable
-        # without an engine (e.g. in the learning pipeline's unit tests).
-        from repro.cep.udf import default_functions
+        return self.resolve(functions)(*values)
 
-        registry = default_functions()
-        if registry.has(self.name):
-            return registry.call(self.name, values)
-        raise UnknownFunctionError(f"unknown function '{self.name}'")
+    def resolve(self, functions: Optional["FunctionRegistry"] = None) -> Callable[..., Any]:
+        """The callable this call runs, checked against its argument count.
 
-    def compile(self, functions: Optional["FunctionRegistry"] = None) -> CompiledExpression:
-        arguments = tuple(arg.compile(functions) for arg in self.arguments)
+        ``functions`` wins; otherwise the built-in minimum set keeps
+        expressions usable without an engine (e.g. in the learning
+        pipeline's unit tests).
+        """
         registry = functions
         if registry is None or not registry.has(self.name):
-            # Same fallback chain as evaluate(), but resolved once.
-            from repro.cep.udf import default_functions
-
             registry = default_functions()
             if not registry.has(self.name):
                 raise UnknownFunctionError(f"unknown function '{self.name}'")
-        function = registry.resolve(self.name, arity=len(arguments))
-        if len(arguments) == 1:
-            only = arguments[0]
-            return lambda record: function(only(record))
-        if len(arguments) == 2:
-            first, second = arguments
-            return lambda record: function(first(record), second(record))
-        return lambda record: function(*[argument(record) for argument in arguments])
+        return registry.resolve(self.name, arity=len(self.arguments))
 
     def to_query(self) -> str:
         args = ", ".join(arg.to_query() for arg in self.arguments)
@@ -528,11 +437,11 @@ class FunctionCall(Expression):
 
 
 class CompiledPredicateCache:
-    """Engine-wide cache of compiled predicate closures.
+    """Engine-wide cache of generated predicate functions.
 
     Keyed by ``Expression.to_query()`` — the canonical text rendering — so
     structurally identical predicates (the learner emits the same pose
-    window for many queries) are lowered once and share a single closure.
+    window for many queries) are generated once and share one function.
     One cache is owned by each :class:`~repro.cep.engine.CEPEngine` and
     handed to every matcher it deploys; ``hits``/``misses`` feed the
     throughput benchmarks.
@@ -557,7 +466,7 @@ class CompiledPredicateCache:
         return compiled
 
     def clear(self) -> None:
-        """Drop all cached closures (e.g. after a UDF was re-registered)."""
+        """Drop all cached functions (e.g. after a UDF was re-registered)."""
         self._compiled.clear()
 
     def __len__(self) -> int:
@@ -586,4 +495,7 @@ def abs_diff_predicate(field: str, center: float, width: float) -> Expression:
 
 
 # Imported late to avoid a circular import at module load time.
-from repro.cep.udf import FunctionRegistry  # noqa: E402  (documented import cycle)
+from repro.cep.udf import (  # noqa: E402  (documented import cycle)
+    FunctionRegistry,
+    default_functions,
+)

@@ -34,10 +34,11 @@ hold state only while they have live runs, so idle players cost nothing.
 
 Fast path
 ---------
-Step predicates are lowered to plain Python closures at construction time
-(``Expression.compile``); set ``MatcherConfig.compile_predicates=False`` to
-fall back to the interpreted ``Expression.evaluate`` walk (the two paths
-produce identical detections — the benchmark suite asserts it).  Run
+Each step predicate is lowered to one generated Python function at
+construction time (``Expression.compile``); set
+``MatcherConfig.compile_predicates=False`` to fall back to the interpreted
+``Expression.evaluate`` walk (the two paths produce identical detections —
+the benchmark suite asserts it).  Run
 bookkeeping is O(1): runs are removed by *identity* with a swap-pop on the
 run table, never by value equality.  Tuples from streams that appear
 nowhere in the pattern short-circuit before any predicate is evaluated.
@@ -122,9 +123,10 @@ class MatcherConfig:
     timestamp_field:
         Tuple field carrying the event time in seconds.
     compile_predicates:
-        Lower step predicates to closures at deploy time (default).  When
-        false the matcher interprets the expression AST per tuple — slower,
-        but byte-identical in behaviour; kept for A/B benchmarking.
+        Lower each step predicate to a generated function at deploy time
+        (default).  When false the matcher interprets the expression AST
+        per tuple — slower, but byte-identical in behaviour; kept for A/B
+        benchmarking.
     partition_field:
         Tuple field that keys the run table (default ``"player"``, the
         Kinect player id).  Runs advance, prune and consume strictly within
@@ -313,7 +315,7 @@ class NFAMatcher:
         Runtime knobs; see :class:`MatcherConfig`.
     compile_cache:
         Optional engine-wide :class:`CompiledPredicateCache` so identical
-        predicates across deployed queries share one compiled closure.
+        predicates across deployed queries share one generated function.
     """
 
     def __init__(

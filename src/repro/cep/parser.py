@@ -74,6 +74,9 @@ _KEYWORDS = {
 
 _MULTI_CHAR_OPERATORS = ("->", "<=", ">=", "==", "!=", "<>")
 _SINGLE_CHAR_OPERATORS = "()<>=+-*/,;"
+#: ASCII only: str.isdigit() also accepts characters like "²" that
+#: int() and float() reject.
+_DIGITS = frozenset("0123456789")
 
 _TIME_UNITS = {
     "s": 1.0,
@@ -161,13 +164,20 @@ def tokenize(text: str) -> List[Token]:
             tokens.append(Token("string", value, start_line, start_column))
             advance(end - index + 1)
             continue
-        if char.isdigit() or (char == "." and index + 1 < length and text[index + 1].isdigit()):
+        if char in _DIGITS or (char == "." and text[index + 1:index + 2] in _DIGITS):
             end = index
             seen_dot = False
-            while end < length and (text[end].isdigit() or (text[end] == "." and not seen_dot)):
+            while end < length and (text[end] in _DIGITS or (text[end] == "." and not seen_dot)):
                 if text[end] == ".":
                     seen_dot = True
                 end += 1
+            # An optional exponent: Literal.to_query writes floats like 1e-05.
+            if end < length and text[end] in "eE":
+                digits = end + 2 if text[end + 1:end + 2] in ("+", "-") else end + 1
+                if text[digits:digits + 1] in _DIGITS:
+                    end = digits
+                    while end < length and text[end] in _DIGITS:
+                        end += 1
             tokens.append(Token("number", text[index:end], start_line, start_column))
             advance(end - index)
             continue
@@ -405,10 +415,9 @@ class _Parser:
         token = self._peek()
         if token.kind == "number":
             self._next()
-            value = float(token.value)
-            if value == int(value) and "." not in token.value:
-                return Literal(int(value))
-            return Literal(value)
+            if token.value.isdigit():
+                return Literal(int(token.value))
+            return Literal(float(token.value))
         if token.kind == "string":
             self._next()
             return Literal(token.value)

@@ -249,7 +249,7 @@ def measure_throughput(
         path in chunks of this size (each chunk's latency is attributed
         evenly to its tuples); ``None`` pushes frame by frame.
     compile_predicates:
-        Deploy matchers with compiled predicate closures (the default) or
+        Deploy matchers with generated predicate functions (the default) or
         the interpreted ``Expression.evaluate`` walk, for A/B benchmarks.
     """
     engine = CEPEngine(

@@ -77,7 +77,10 @@ def _collapse(frame, thread_name: str) -> str:
     depth = 0
     while frame is not None and depth < _MAX_DEPTH:
         code = frame.f_code
-        parts.append(f"{code.co_name} ({code.co_filename.rsplit('/', 1)[-1]})")
+        filename = code.co_filename
+        if not filename.startswith("<"):  # keep "<predicate '...'>" whole
+            filename = filename.rsplit("/", 1)[-1]
+        parts.append(f"{code.co_name} ({filename})")
         frame = frame.f_back
         depth += 1
     parts.append(thread_name)

@@ -134,6 +134,19 @@ class TestDetection:
             session.feed([_frame()], stream="kinect_t")
             assert [event.gesture for event in session.events] == ["hands_up"]
 
+    def test_sharded_session_deploys_exponent_float_bound(self):
+        # Shards receive the query as its to_query() text, which writes
+        # small and large floats with an exponent (1e-05).
+        near_zero = Q.stream("kinect_t").where(F("rhand_y") < 1e-5).output("near_zero")
+        with GestureSession(SessionConfig(shards=2)) as session:
+            session.deploy(near_zero)
+            session.feed(
+                [_frame(ts=0.0, rhand_y=0.0, player=1), _frame(ts=0.1, rhand_y=1.0, player=2)],
+                stream="kinect_t",
+            )
+            session.drain()
+            assert [event.gesture for event in session.events] == ["near_zero"]
+
     def test_deploy_text_and_description(self):
         description = GestureDescription(
             name="poke",

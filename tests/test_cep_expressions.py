@@ -31,6 +31,11 @@ class TestLeaves:
         assert Literal("swipe").to_query() == '"swipe"'
         assert Literal(True).to_query() == "true"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_literal_rejects_values_without_query_text(self, value):
+        with pytest.raises(ExpressionError, match="finite"):
+            Literal(value)
+
     def test_field_ref_reads_record(self):
         assert FieldRef("rhand_x").evaluate({"rhand_x": 7.5}) == 7.5
 
@@ -41,6 +46,8 @@ class TestLeaves:
     def test_field_ref_requires_name(self):
         with pytest.raises(ExpressionError):
             FieldRef("")
+        with pytest.raises(ExpressionError):
+            FieldRef(5)
 
     def test_fields_of_leaves(self):
         assert Literal(1).fields() == frozenset()

@@ -1,7 +1,9 @@
 """Unit tests for the query-language lexer and parser."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.cep.expressions import Comparison, FieldRef, Literal
 from repro.cep.parser import parse_expression, parse_query, tokenize
 from repro.cep.query import ConsumePolicy, EventPattern, SelectPolicy, SequencePattern
 from repro.errors import QuerySyntaxError
@@ -56,6 +58,15 @@ class TestTokenizer:
         values = [token.value for token in tokens if token.kind == "ident"]
         assert values == ["a", "b", "c"]
 
+    def test_numbers_with_exponents(self):
+        values = [t.value for t in tokenize("1e-05 2.5E+16 3e7 4e x5") if t.kind == "number"]
+        assert values == ["1e-05", "2.5E+16", "3e7", "4"]
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0661"])
+    def test_non_ascii_digits_are_syntax_errors(self, digit):
+        with pytest.raises(QuerySyntaxError):
+            tokenize(f"x < {digit}")
+
     def test_multi_character_operators(self):
         values = [t.value for t in tokenize("-> <= >= == != <>") if t.kind == "op"]
         assert values == ["->", "<=", ">=", "==", "!=", "<>"]
@@ -97,6 +108,14 @@ class TestExpressionParsing:
         text = "abs(rhand_x - 400) < 50 and abs(rhand_y - 150) < 50"
         expr = parse_expression(text)
         assert parse_expression(expr.to_query()) == expr
+
+    def test_long_integers_parse_exactly(self):
+        assert parse_expression("12345678901234567891").evaluate({}) == 12345678901234567891
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_float_literal_round_trips(self, value):
+        for expr in (Literal(value), Comparison("<", FieldRef("rhand_y"), Literal(value))):
+            assert parse_expression(expr.to_query()) == expr
 
 
 class TestQueryParsing:
